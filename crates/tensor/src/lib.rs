@@ -13,10 +13,10 @@
 //! path ([`ops::gemm`]): weights are repacked into register-tile panels
 //! (once, at deploy time, via [`ops::pack_conv_filter`] /
 //! [`ops::pack_linear_filter`]), the im2col lowering is built one
-//! cache-sized panel slice at a time, and rayon parallelises over output
-//! row tiles.  The clarity-first direct kernels remain as oracles
-//! ([`ops::conv2d_direct`], [`ops::linear_direct`]) that the fast path is
-//! validated against.
+//! cache-sized panel slice at a time, and the output tiles run on the
+//! `rayon` shim's persistent worker pool.  The clarity-first direct
+//! kernels remain as oracles ([`ops::conv2d_direct`],
+//! [`ops::linear_direct`]) that the fast path is validated against.
 //!
 //! # Example
 //!

@@ -142,12 +142,6 @@ const TASKS_PER_THREAD: usize = 3;
 /// tiles without this cap).
 const MAX_TILE_COLS: usize = 256;
 
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
 /// Computes `out = act(bias + A·B)` into a row-major `[m][n]` buffer, with
 /// `A` prepacked and `B` produced by `fill` (see [`PanelFill`]).
 pub fn gemm_bias_act_into<F: PanelFill>(
@@ -185,7 +179,7 @@ pub fn gemm_bias_act_into<F: PanelFill>(
         // the convolution caller).  Each task owns a private C tile and B
         // slice; tiles are scattered into `out` afterwards.
         let tile = n
-            .div_ceil(TASKS_PER_THREAD * num_threads())
+            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
             .next_multiple_of(NR)
             .clamp(NR, MAX_TILE_COLS);
         let tiles = n.div_ceil(tile);
@@ -263,7 +257,7 @@ pub fn gemm_bias_act_into<F: PanelFill>(
             }
         }
         let group_rows = m
-            .div_ceil(TASKS_PER_THREAD * num_threads())
+            .div_ceil(TASKS_PER_THREAD * rayon::current_num_threads())
             .next_multiple_of(MR)
             .min(m.next_multiple_of(MR));
         out.par_chunks_mut(group_rows * n)
