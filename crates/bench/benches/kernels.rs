@@ -60,6 +60,10 @@ struct ConvShape {
     int8_simd_gops: f64,
     /// Effective int8 rate over the f32 SIMD GEMM rate on the same shape.
     int8_vs_f32_simd: f64,
+    /// Effective int8 rate over the f32 route `conv2d_rows_packed` takes
+    /// for this shape (Winograd where `winograd_routed`, else the SIMD
+    /// GEMM) — the comparison that decides whether quantizing a layer pays.
+    int8_vs_f32_routed: f64,
     /// Legacy trajectory fields (packed = the SIMD GEMM path).
     packed_ns: f64,
     speedup: f64,
@@ -221,6 +225,12 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
         let int8_scalar_ns = time_ns(10, run_q8);
         set_qkernel_override(None);
         let int8_simd_ns = time_ns(10, run_q8);
+        let winograd_routed = filter.winograd().is_some() && winograd_preferred(c_in, c_out);
+        let f32_routed_ns = if winograd_routed {
+            winograd_ns
+        } else {
+            packed_simd_ns
+        };
         let flops = 2.0 * (f * f * c_in * c_out * hw * hw) as f64;
         let gflops = |ns: f64| if ns > 0.0 { flops / ns } else { 0.0 };
         out.push(ConvShape {
@@ -238,16 +248,13 @@ fn bench_conv_paths(c: &mut Criterion) -> Vec<ConvShape> {
             packed_simd_gflops: gflops(packed_simd_ns),
             winograd_ns,
             winograd_gflops: gflops(winograd_ns),
-            winograd_routed: filter.winograd().is_some() && winograd_preferred(c_in, c_out),
+            winograd_routed,
             int8_scalar_ns,
             int8_scalar_gops: gflops(int8_scalar_ns),
             int8_simd_ns,
             int8_simd_gops: gflops(int8_simd_ns),
-            int8_vs_f32_simd: if packed_simd_ns > 0.0 {
-                packed_simd_ns / int8_simd_ns
-            } else {
-                0.0
-            },
+            int8_vs_f32_simd: packed_simd_ns / int8_simd_ns,
+            int8_vs_f32_routed: f32_routed_ns / int8_simd_ns,
             packed_ns: packed_simd_ns,
             speedup: direct_ns / packed_simd_ns,
             packed_gflops: gflops(packed_simd_ns),
@@ -341,7 +348,7 @@ fn bench_kernels(c: &mut Criterion) {
     );
     for s in &out.conv {
         println!(
-            "conv {:<24} direct {:>7.1}  scalar {:>7.1}  simd {:>7.1}  winograd {:>7.1}{}  int8 {:>7.1} ({:.2}x f32 simd)  GFLOP/s",
+            "conv {:<24} direct {:>7.1}  scalar {:>7.1}  simd {:>7.1}  winograd {:>7.1}{}  int8 {:>7.1} ({:.2}x f32 simd, {:.2}x f32 routed)  GFLOP/s",
             s.label,
             s.direct_gflops,
             s.packed_scalar_gflops,
@@ -350,6 +357,7 @@ fn bench_kernels(c: &mut Criterion) {
             if s.winograd_routed { "" } else { " (not routed)" },
             s.int8_simd_gops,
             s.int8_vs_f32_simd,
+            s.int8_vs_f32_routed,
         );
     }
     for e in &out.end_to_end {

@@ -102,8 +102,13 @@ pub struct QuantSpec {
 
 impl QuantSpec {
     /// Minimum GEMM depth `c_in·f·f` for a conv layer to take the int8
-    /// path.  Below this the per-column quantization overhead eats the
-    /// int8 throughput win (the VGG stem's K=27 stays f32).
+    /// path (the VGG stem's K=27 stays f32).  Measured on the stem shape
+    /// (3→64 @224, one core of an AVX-512/VNNI Xeon) int8 takes ~31 ms
+    /// against f32's ~26 ms, though quantizing, filling and the integer
+    /// GEMM together take only ~5 ms of it: at K=27 the cost is per
+    /// *output*, not per multiply.  The int8 epilogue is a separate
+    /// i32→f32 pass into a fresh per-tile buffer (~15 ms here), where the
+    /// f32 GEMM fuses bias and activation into its last K block.
     pub const CONV_MIN_K: usize = 72;
     /// Minimum `in_features` for an FC layer to take the int8 path.
     pub const FC_MIN_IN: usize = 256;

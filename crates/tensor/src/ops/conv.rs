@@ -507,8 +507,9 @@ pub fn conv2d_rows_gemm(
 
 /// Convolution of a row band on the **int8 quantized** im2col GEMM path
 /// over prepacked i8 panels: the band's activations are quantized against
-/// the calibrated `scale_in` on the fly (inside the panel fill, one byte
-/// per im2col element), multiplied in i32, and dequantized in the fused
+/// the calibrated `scale_in` once up front (one [`quant_byte`] per band
+/// element, in parallel over channel planes), the im2col panels are filled
+/// by copying those bytes, multiplied in i32, and dequantized in the fused
 /// epilogue with bias and activation.
 ///
 /// `scale_in` must be the *same* for every band of a layer (it is fixed at
@@ -557,13 +558,30 @@ pub fn conv2d_rows_q8(
     let out_w = geom.out_w;
     let n = out_rows * out_w;
     let (band_h, w_in) = (geom.band_h, geom.w_in);
-    let in_data = input.data();
     let ff = f * f;
 
-    // The quantizing im2col filler: same geometry walk as the f32 filler,
-    // but each element is quantized to its offset byte as it is written.
-    // Padding positions stay at the 128 the driver pre-filled — exactly
-    // the quantization of zero under any scale.
+    // Quantize the band once, one offset byte per activation, a channel
+    // plane per task on the shared pool.  A 3×3 layer reads each
+    // activation nine times below; quantizing here instead of in the
+    // filler does the divide / round / clamp once per activation.
+    let plane = band_h * w_in;
+    let in_data = input.data();
+    let mut codes = vec![0u8; in_data.len()];
+    codes
+        .par_chunks_mut(plane.max(1)) // an all-padding band has no rows
+        .enumerate()
+        .for_each(|(ic, chunk)| {
+            let src = &in_data[ic * plane..(ic + 1) * plane];
+            for (q, &x) in chunk.iter_mut().zip(src) {
+                *q = quant_byte(x, scale_in);
+            }
+        });
+    let codes = &codes;
+
+    // The im2col filler: the f32 filler's geometry walk, copying the
+    // band's bytes into the quad-major panels.  Padding positions stay at
+    // the 128 the driver pre-filled — exactly the quantization of zero
+    // under any scale.
     let fill = move |k0: usize, k1: usize, j0: usize, j1: usize, buf: &mut [u8]| {
         let kcq = (k1 - k0).div_ceil(QK);
         for k_abs in k0..k1 {
@@ -578,7 +596,7 @@ pub fn conv2d_rows_q8(
             } else {
                 0
             };
-            let in_plane = ic * band_h * w_in;
+            let in_plane = ic * plane;
             let oy_first = j0 / out_w;
             let oy_last = (j1 - 1) / out_w;
             for oy_local in oy_first..=oy_last {
@@ -596,12 +614,20 @@ pub fn conv2d_rows_q8(
                 if ox_a >= ox_b {
                     continue;
                 }
-                let mut ix = ox_a * stride + kx - padding;
-                for ox in ox_a..ox_b {
-                    let jj = oy_local * out_w + ox - j0;
-                    buf[(((jj / NR) * kcq + qd) * NR + (jj % NR)) * QK + l] =
-                        quant_byte(in_data[in_row + ix], scale_in);
-                    ix += stride;
+                // Walk the segment one NR-column panel at a time: within a
+                // panel, consecutive columns sit QK bytes apart.
+                let mut jj = oy_local * out_w + ox_a - j0;
+                let jj_end = oy_local * out_w + ox_b - j0;
+                let mut ix = in_row + ox_a * stride + kx - padding;
+                while jj < jj_end {
+                    let (q, lane) = (jj / NR, jj % NR);
+                    let take = (NR - lane).min(jj_end - jj);
+                    let dst = ((q * kcq + qd) * NR + lane) * QK + l;
+                    for t in 0..take {
+                        buf[dst + t * QK] = codes[ix + t * stride];
+                    }
+                    jj += take;
+                    ix += take * stride;
                 }
             }
         }

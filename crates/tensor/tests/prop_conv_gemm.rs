@@ -16,12 +16,17 @@
 //!   *bit-exact* against the full-output call, for any cut points.  This
 //!   is the stronger property the distributed runtime's bit-exactness
 //!   tests rely on.
+//! * **integer oracle (int8)** — the int8 path is *bitwise* equal to a
+//!   direct loop nest over quantized codes with an exact `i32` sum and the
+//!   kernel's one-expression f32 epilogue, on full outputs and offset
+//!   bands, on the wide (column-tiled) and narrow GEMM drivers alike.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use tensor::ops::{
     conv2d_direct, conv2d_rows_gemm, conv2d_rows_packed, conv2d_rows_winograd, im2col_weight_len,
     linear_direct, linear_packed, pack_conv_filter, pack_conv_filter_with, pack_linear_filter,
-    qkernel_arch, quant_scale, set_qkernel_override, Activation, QKernelArch,
+    qkernel_arch, quant_scale, quantize_i8, set_qkernel_override, Activation, QKernelArch,
 };
 use tensor::shape::{conv_out_dim, input_rows_for_output};
 use tensor::slice::{concat_rows, slice_rows};
@@ -49,8 +54,156 @@ fn pseudo_weights(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// Columns at which the quantized GEMM driver switches from one shared
+/// whole-k B panel (narrow) to per-task column tiles (wide): `4 * NR`.
+const QGEMM_WIDE_COLS: usize = 64;
+
+/// Runs output rows `[out_start, out_end)` of an int8 conv through
+/// `conv2d_rows_packed` on the minimal input band, and checks it bitwise
+/// against the integer oracle: input codes `quantize_i8(x, scale_in)`,
+/// weight codes `quantize_i8(w, s_w)`, an exact `i32` sum over the
+/// in-bounds taps, then `act(b + sum · (scale_in · s_w))`.  `clip < 1`
+/// shrinks `scale_in` below the input range so the `±127` clamp is hit.
+/// Returns the GEMM column count `n` of the call (which driver ran).
+fn check_int8_against_integer_oracle(
+    (c_in, c_out, h, w): (usize, usize, usize, usize),
+    (f, stride, padding): (usize, usize, usize),
+    (out_start, out_end): (usize, usize),
+    clip: f32,
+    act: Activation,
+    seed: u64,
+) -> Result<usize, TestCaseError> {
+    let input = pseudo_tensor(c_in, h, w, seed);
+    let weights = pseudo_weights(im2col_weight_len(c_in, c_out, f), seed ^ 0x0c0d);
+    let bias = pseudo_weights(c_out, seed ^ 0x0b1a);
+    let scale_in = quant_scale(input.data()) * clip;
+    let filter = pack_conv_filter_with(&weights, c_in, c_out, f, stride, Some(scale_in)).unwrap();
+    let scale_w = filter.quant().unwrap().scale();
+    let out_w = conv_out_dim(w, f, stride, padding).unwrap();
+
+    let (lo, hi) = input_rows_for_output(out_start, out_end, f, stride, padding, h);
+    let band_in = if lo == hi {
+        Tensor::from_vec([c_in, 0, w], Vec::new()).unwrap()
+    } else {
+        slice_rows(&input, lo, hi).unwrap()
+    };
+    let got = conv2d_rows_packed(
+        &band_in, lo, h, out_start, out_end, &filter, &bias, f, stride, padding, act,
+    )
+    .unwrap();
+    prop_assert_eq!(got.shape(), [c_out, out_end - out_start, out_w]);
+
+    let s = scale_in * scale_w;
+    for oc in 0..c_out {
+        for (oy_local, oy) in (out_start..out_end).enumerate() {
+            for ox in 0..out_w {
+                let mut sum = 0i32;
+                for ic in 0..c_in {
+                    for ky in 0..f {
+                        let iy = (oy * stride + ky) as isize - padding as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..f {
+                            let ix = (ox * stride + kx) as isize - padding as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let a = quantize_i8(input.get(ic, iy as usize, ix as usize), scale_in);
+                            let wq =
+                                quantize_i8(weights[((oc * c_in + ic) * f + ky) * f + kx], scale_w);
+                            sum += a as i32 * wq as i32;
+                        }
+                    }
+                }
+                let want = act.apply(bias[oc] + (sum as f32) * s);
+                let have = got.get(oc, oy_local, ox);
+                prop_assert!(
+                    have.to_bits() == want.to_bits(),
+                    "[{},{},{}] int8 {} != integer oracle {}",
+                    oc,
+                    oy,
+                    ox,
+                    have,
+                    want
+                );
+            }
+        }
+    }
+    Ok((out_end - out_start) * out_w)
+}
+
+/// Fixed int8 geometries pinning each case the property below draws at
+/// random — strides 1 and 2, `padding > f/2`, a band starting past input
+/// row 0 — on both the wide and the narrow quantized GEMM drivers.
+#[test]
+fn int8_conv_matches_integer_oracle_on_both_gemm_drivers() {
+    // (dims, geometry, output rows, expect wide driver)
+    let cases = [
+        ((3, 7, 12, 12), (3, 1, 1), (0, 12), true),
+        ((3, 7, 12, 12), (3, 1, 1), (5, 12), true),
+        ((4, 5, 16, 17), (3, 2, 2), (0, 9), true),
+        ((4, 5, 16, 17), (3, 2, 2), (3, 8), false),
+        ((2, 9, 10, 9), (3, 1, 2), (0, 3), false),
+        ((2, 9, 10, 9), (3, 1, 2), (7, 12), false),
+        ((4, 5, 30, 30), (3, 2, 2), (5, 12), true),
+        ((5, 3, 11, 14), (2, 2, 1), (2, 6), false),
+        ((3, 6, 9, 20), (1, 1, 0), (4, 9), true),
+        // An all-padding output row: its input band has no rows at all.
+        ((3, 4, 6, 6), (1, 1, 1), (0, 1), false),
+    ];
+    for (i, (dims, geom, rows, wide)) in cases.into_iter().enumerate() {
+        for (clip, act) in [(1.0, Activation::Relu), (0.6, Activation::LeakyRelu)] {
+            let n = match check_int8_against_integer_oracle(
+                dims,
+                geom,
+                rows,
+                clip,
+                act,
+                i as u64 * 977,
+            ) {
+                Ok(n) => n,
+                Err(TestCaseError::Fail(msg)) => panic!("case {i} (clip {clip}): {msg}"),
+                Err(TestCaseError::Reject) => unreachable!("fixed cases assume nothing"),
+            };
+            assert_eq!(n >= QGEMM_WIDE_COLS, wide, "case {i} ran n = {n} columns");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Int8 conv ≡ the integer oracle *bitwise*, over random geometries,
+    /// output bands (with their non-zero input row offsets) and scales —
+    /// about a quarter of the draws at the calibrated scale, the rest
+    /// clipping the input range.
+    #[test]
+    fn int8_conv_matches_integer_oracle(
+        c_in in 1usize..6,
+        c_out in 1usize..10,
+        h in 6usize..24,
+        w in 4usize..20,
+        f in 1usize..5,
+        stride in 1usize..3,
+        pad_excess in 0usize..2,
+        cut_a in 0.0f64..1.0,
+        cut_b in 0.0f64..1.0,
+        clip in 0.3f32..1.3,
+        seed in any::<u64>(),
+    ) {
+        let padding = f / 2 + pad_excess;
+        prop_assume!(conv_out_dim(h, f, stride, padding).is_some());
+        prop_assume!(conv_out_dim(w, f, stride, padding).is_some());
+        let out_h = conv_out_dim(h, f, stride, padding).unwrap();
+        let a = (out_h as f64 * cut_a) as usize;
+        let b = (out_h as f64 * cut_b) as usize;
+        let (out_start, out_end) = (a.min(b), (a.max(b) + 1).min(out_h));
+        check_int8_against_integer_oracle(
+            (c_in, c_out, h, w), (f, stride, padding), (out_start, out_end), clip.min(1.0),
+            Activation::LeakyRelu, seed,
+        )?;
+    }
 
     /// GEMM path ≡ direct oracle within 1e-4 for random conv geometries.
     #[test]
